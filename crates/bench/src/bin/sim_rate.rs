@@ -12,7 +12,7 @@
 //! recomputed whenever both sections exist. Every run also refreshes the
 //! `device_seconds_per_wall_second` section: batched fleet simulation
 //! (`--lanes` devices, default 256) against the looped single-device
-//! equivalent. `--min-batch-speedup X` exits non-zero when the standby
+//! equivalent: N `run` calls, each a one-lane batch that never parks. `--min-batch-speedup X` exits non-zero when the standby
 //! fleet's batched-over-looped speedup lands below `X` — the CI smoke
 //! gate. See DESIGN.md § Performance for how to read the file.
 

@@ -144,11 +144,17 @@ pub fn measure(
 /// One fleet workload's throughput pair: device-seconds per wall-second
 /// for N looped single-device runs and for the batched engine on the
 /// identical lanes.
+///
+/// A single-device [`run`] is itself a one-lane batch, and a lone lane
+/// never parks, so the looped side is N one-lane batches on the scalar
+/// epoch path with its idle fast-forward; the batched side is one
+/// N-lane batch whose idle lanes share the parked kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRate {
     /// Fleet workload name (the scenario driving every lane).
     pub name: String,
-    /// Looped rate: N sequential [`run`] calls, device-seconds per wall-second.
+    /// Looped rate: N sequential [`run`] calls (N one-lane batches),
+    /// device-seconds per wall-second.
     pub looped: f64,
     /// Batched rate: one [`run_batch`] over the same lanes.
     pub batched: f64,

@@ -220,7 +220,7 @@ pub fn cmd_fleet(inv: &Invocation) -> CmdResult {
     if lanes_n == 0 {
         return Err(ParseArgsError("--lanes must be at least 1".into()).into());
     }
-    // The fleet path wires no per-lane fault harness, so a fault request
+    // The fleet lanes are built without a fault harness, so a fault request
     // must fail loudly instead of silently simulating fault-free; scale
     // 0 is accepted and bit-identical to omitting the flag.
     experiments::ensure_fleet_faults_supported(inv.flag_or("fault-scale", 0.0)?)?;
@@ -760,9 +760,9 @@ moves it.
 
 Experiment sweeps are supervised: a panicking cell is retried
 (--max-retries N, default 2) and then quarantined; a quarantined run
-prints a report and exits 4 (2 with --fail-on-quarantine). fleet has no
-per-lane fault harness, so --fault-scale must be 0; use e9 for fault
-studies.
+prints a report and exits 4 (2 with --fail-on-quarantine). fleet builds
+its lanes without a fault harness, so --fault-scale must be 0; use e9 for
+fault studies.
 
 serve starts the persistent JSON-lines service (wire format in
 PROTOCOL.md; default socket <tmp>/rlpm-serve.sock) and client

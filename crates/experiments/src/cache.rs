@@ -383,57 +383,6 @@ where
     result
 }
 
-/// Probes the memo and the disk store for `(kind, key)` without
-/// computing anything. Batched evaluation uses this to split a sweep
-/// into warm cells (answered here) and cold cells (run together in one
-/// [`crate::run_batch`] dispatch, then [`put`]).
-///
-/// A present entry records a hit, an absent one a miss — so a warm
-/// batched sweep shows the same all-hits/no-misses signature as a warm
-/// looped one. An entry another thread is computing right now is
-/// treated as absent rather than waited for: the batch recomputes it,
-/// which duplicates deterministic work but never blocks a whole fleet
-/// on one cell. Returns `None` (without counting) when the cache is
-/// disabled.
-pub fn lookup(kind: &'static str, key: u64) -> Option<Arc<Vec<u8>>> {
-    let dir = active_dir()?;
-    {
-        let memo = lock(&MEMO);
-        if let Some(MemoSlot::Ready(bytes)) = memo.get(&(kind, key)) {
-            record_hit();
-            return Some(Arc::clone(bytes));
-        }
-    }
-    match load_from_disk(&dir, kind, key) {
-        Some(payload) => {
-            record_hit();
-            let bytes = Arc::new(payload);
-            lock(&MEMO).insert((kind, key), MemoSlot::Ready(Arc::clone(&bytes)));
-            MEMO_CV.notify_all();
-            crate::journal::record(kind, key);
-            Some(bytes)
-        }
-        None => {
-            record_miss();
-            None
-        }
-    }
-}
-
-/// Inserts already-computed bytes under `(kind, key)` into the memo and
-/// the disk store — the second half of the [`lookup`]/`put` pair used
-/// by batched evaluation (the miss was already counted by `lookup`).
-/// A no-op when the cache is disabled.
-pub fn put(kind: &'static str, key: u64, payload: Vec<u8>) {
-    let Some(dir) = active_dir() else {
-        return;
-    };
-    store_to_disk(&dir, kind, key, &payload);
-    lock(&MEMO).insert((kind, key), MemoSlot::Ready(Arc::new(payload)));
-    MEMO_CV.notify_all();
-    crate::journal::record(kind, key);
-}
-
 // ---------------------------------------------------------------------
 // Disk store
 // ---------------------------------------------------------------------

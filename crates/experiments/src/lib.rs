@@ -18,11 +18,14 @@
 //! | [`e9_fault_resilience`] | E9 — resilience under injected faults (extension) |
 //! | [`ablations`] | A1–A4 — state features, reward shaping, exploration, TD algorithm |
 //!
-//! The building blocks are [`run`] (one closed-loop simulation),
-//! [`run_with_faults`] (the same loop under a seeded fault schedule, see
-//! [`resilience`]), [`PolicyKind`] (every policy under test, including
-//! the pre-trained RL policy), and [`table::Table`] (markdown/CSV
-//! rendering used by the `regen-tables` binary and the benches).
+//! The building blocks are [`run_batch`] (the one closed-loop
+//! simulation, stepping any number of device lanes in lockstep), [`run`]
+//! and [`run_with_faults`] (one-lane calls of it, the latter under a
+//! seeded fault schedule, see [`resilience`]), [`eval_cell`] (the one
+//! evaluation path: a trained policy on one cell, through the result
+//! [`cache`]), [`PolicyKind`] (every policy under test, including the
+//! pre-trained RL policy), and [`table::Table`] (markdown/CSV rendering
+//! used by the `regen-tables` binary and the benches).
 //!
 //! ## Harness fault tolerance
 //!
@@ -59,7 +62,7 @@ mod runner;
 mod sched;
 
 pub use cache::CacheDegraded;
-pub use policies::{eval_cells_batched, train_rl_governor, EvalCell, PolicyKind, TrainingProtocol};
+pub use policies::{eval_cell, train_rl_governor, PolicyKind, TrainingProtocol};
 pub use resilience::{FaultHarness, Watchdog};
 pub use runner::{
     ensure_fleet_faults_supported, run, run_batch, run_with_faults, BatchLane,

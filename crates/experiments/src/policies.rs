@@ -3,11 +3,11 @@
 use governors::{Governor, GovernorKind};
 use rlpm::{persist, RlConfig, RlGovernor};
 use rlpm_hw::{HwConfig, HwPolicyDriver};
-use soc::{DeviceBatch, Soc, SocConfig};
+use soc::{Soc, SocConfig};
 use workload::ScenarioKind;
 
-use crate::runner::{BatchLane, RunMetrics};
-use crate::{cache, run, run_batch, RunConfig};
+use crate::runner::RunMetrics;
+use crate::{cache, run, RunConfig};
 
 /// How the RL policy is trained before a frozen evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +186,12 @@ pub(crate) fn cached_frozen_policy(
 /// consulting the metrics cache when it is enabled. Traced runs bypass
 /// the cache (traces are bulky, figure-only output). An invalid SoC
 /// config yields `None`, cached or not.
-pub(crate) fn eval_cell(
+///
+/// This is the one evaluation path: the E1-style sweeps and the serve
+/// `simulate` request both call it, so identical concurrent requests
+/// coalesce in the cache's memo layer ([`cache::get_or_compute`]) and
+/// compute the cell once.
+pub fn eval_cell(
     soc_config: &SocConfig,
     scenario: ScenarioKind,
     policy: PolicyKind,
@@ -206,17 +211,11 @@ pub(crate) fn eval_cell(
         .or_else(|| eval_cell_uncached(soc_config, scenario, policy, training, seed, run_config))
 }
 
-/// The cache key of one evaluation cell.
-///
-/// Both evaluation paths — [`eval_cell`] (looped) and
-/// [`eval_cells_batched`] — address the metrics cache through this one
-/// function, so the key is determined by the *cell* alone: scenario,
-/// policy, seed, configs, duration. How many lanes a sweep happened to
-/// batch together (or whether it batched at all) never enters the key;
-/// a warm entry written by either path satisfies the other. This is
-/// sound because `run_batch` is bit-identical to looped `run` calls
-/// (pinned by `golden_bits`), and it is pinned directly by the
-/// `cache_identity` integration test.
+/// The cache key of one evaluation cell: scenario, policy, seed,
+/// configs and duration, nothing else. Which sweep or request asked for
+/// the cell never enters the key, so a warm entry written by E1 answers
+/// a serve `simulate` of the same cell and vice versa (pinned by the
+/// `cache_identity` integration test).
 fn cell_key(
     soc_config: &SocConfig,
     scenario: ScenarioKind,
@@ -233,100 +232,6 @@ fn cell_key(
         .u64(seed)
         .u64(run_config.duration.as_nanos())
         .finish()
-}
-
-/// One `(scenario, policy, seed)` cell of a batched evaluation sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalCell {
-    /// Workload the cell measures.
-    pub scenario: ScenarioKind,
-    /// Policy driving the cell.
-    pub policy: PolicyKind,
-    /// Seed for training and the evaluation streams.
-    pub seed: u64,
-}
-
-/// Evaluates a sweep of cells on one SoC configuration, stepping every
-/// cold cell in a single [`DeviceBatch`] instead of looping the
-/// single-cell evaluation path.
-///
-/// Semantics are exactly `cells.iter().map(|c| eval_cell(..))`: the
-/// same cache keys (both paths share one private key helper, so the
-/// batch shape can never enter a key), the same bit-exact metrics
-/// (`run_batch` equivalence), the same `None` for cells that cannot run.
-/// Warm cells are answered from the cache without joining the batch, so
-/// a sweep whose cells were already evaluated one at a time — or the
-/// other way around — computes nothing.
-pub fn eval_cells_batched(
-    soc_config: &SocConfig,
-    cells: &[EvalCell],
-    training: TrainingProtocol,
-    run_config: RunConfig,
-) -> Vec<Option<RunMetrics>> {
-    let use_cache = cache::is_enabled() && !run_config.record_trace;
-    let mut out: Vec<Option<RunMetrics>> = (0..cells.len()).map(|_| None).collect();
-    let mut cold: Vec<(usize, EvalCell)> = Vec::with_capacity(cells.len());
-    for ((i, &c), slot) in cells.iter().enumerate().zip(&mut out) {
-        if use_cache {
-            let key = cell_key(
-                soc_config, c.scenario, c.policy, training, c.seed, run_config,
-            );
-            if let Some(bytes) = cache::lookup("cell", key) {
-                if let Some(m) = cache::decode_metrics(&bytes) {
-                    *slot = Some(m);
-                    continue;
-                }
-            }
-        }
-        cold.push((i, c));
-    }
-    if cold.is_empty() {
-        return out;
-    }
-
-    let mut socs = Vec::with_capacity(cold.len());
-    for _ in &cold {
-        // An invalid config fails every cell identically; keep the warm
-        // answers and leave the cold cells `None`, as `eval_cell` would.
-        let Ok(soc) = Soc::new(soc_config.clone()) else {
-            return out;
-        };
-        socs.push(soc);
-    }
-    let Ok(mut batch) = DeviceBatch::new(socs) else {
-        return out;
-    };
-    let mut lanes: Vec<BatchLane> = cold
-        .iter()
-        .map(|&(_, c)| {
-            BatchLane {
-                // Evaluation uses a different seed stream than training
-                // (the same derivation as `eval_cell_uncached`).
-                scenario: c
-                    .scenario
-                    .build(c.seed.wrapping_mul(0x9E37_79B9).wrapping_add(1)),
-                governor: c
-                    .policy
-                    .build_trained(soc_config, c.scenario, training, c.seed),
-                faults: None,
-            }
-        })
-        .collect();
-    let metrics = run_batch(&mut batch, &mut lanes, run_config);
-    for (&(i, c), m) in cold.iter().zip(metrics) {
-        if use_cache {
-            if let Some(bytes) = cache::encode_metrics(&m) {
-                let key = cell_key(
-                    soc_config, c.scenario, c.policy, training, c.seed, run_config,
-                );
-                cache::put("cell", key, bytes);
-            }
-        }
-        if let Some(slot) = out.get_mut(i) {
-            *slot = Some(m);
-        }
-    }
-    out
 }
 
 fn eval_cell_uncached(

@@ -119,12 +119,14 @@ fn full_experiment_suite_is_identical_cold_and_warm() {
     assert!(cold == warm, "suite cold vs warm differ");
 }
 
-/// A looped E1 sweep and a batched sweep of the same cells address the
-/// cache through identical keys: batch-lane shape is not a key
-/// component, so entries written by one path must satisfy the other,
-/// bit for bit, in both directions.
+/// The E1 sweep and single-cell requests (the serve `simulate` path)
+/// address the cache through identical keys: the sweep is not a key
+/// component, so entries written by one must satisfy the other, bit for
+/// bit, in both directions. The cached metrics also equal what one
+/// multi-lane `run_batch` of the same cells computes, so the entries are
+/// lane-count independent.
 #[test]
-fn looped_warm_entries_satisfy_batched_requests_and_vice_versa() {
+fn e1_warm_entries_satisfy_single_cell_requests_and_vice_versa() {
     let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let soc = SocConfig::odroid_xu3_like().expect("preset is valid");
     let e1 = E1Config::quick();
@@ -135,72 +137,88 @@ fn looped_warm_entries_satisfy_batched_requests_and_vice_versa() {
     for &scenario in &e1.scenarios {
         for &policy in &e1.policies {
             for &seed in &e1.seeds {
-                cells.push(experiments::EvalCell {
-                    scenario,
-                    policy,
-                    seed,
-                });
+                cells.push((scenario, policy, seed));
             }
         }
     }
+    let eval_all = || -> Vec<experiments::RunMetrics> {
+        cells
+            .iter()
+            .map(|&(scenario, policy, seed)| {
+                experiments::eval_cell(&soc, scenario, policy, e1.training, seed, run_config)
+                    .expect("valid preset evaluates")
+            })
+            .collect()
+    };
 
-    // Cold *looped* pass: `run_e1` evaluates every cell one at a time
-    // through `eval_cell`, filling the cache.
-    let dir = scratch_dir("batchcells");
+    // Cold sweep: `run_e1` evaluates every cell on the scheduler,
+    // filling the cache.
+    let dir = scratch_dir("cells");
     cache::configure(Some(dir.clone()));
     cache::reset_stats();
-    let looped = run_e1(&soc, &e1);
+    let swept = run_e1(&soc, &e1);
     assert!(cache::stats().misses > 0, "cold pass must compute");
-    assert_eq!(looped.runs.len(), cells.len());
+    assert_eq!(swept.runs.len(), cells.len());
 
-    // Warm *batched* pass, disk only: every cell must be served from the
-    // entries the looped pass wrote, and the metrics must match the
-    // looped results exactly.
+    // Warm single-cell requests, disk only: every cell must be served
+    // from the entries the sweep wrote, and match the sweep exactly.
     cache::clear_memo();
     cache::reset_stats();
-    let batched = experiments::eval_cells_batched(&soc, &cells, e1.training, run_config);
+    let single = eval_all();
     let warm_stats = cache::stats();
-    assert_eq!(
-        warm_stats.misses, 0,
-        "looped entries must satisfy the batch"
-    );
+    assert_eq!(warm_stats.misses, 0, "sweep entries must satisfy requests");
     assert_eq!(warm_stats.hits, cells.len() as u64);
-    for (cell, (b, l)) in cells.iter().zip(batched.iter().zip(&looped.runs)) {
-        let b = b.as_ref().expect("valid preset evaluates");
+    for (&(scenario, policy, seed), (m, l)) in cells.iter().zip(single.iter().zip(&swept.runs)) {
+        assert_eq!((scenario, policy, seed), (l.scenario, l.policy, l.seed));
         assert_eq!(
-            (cell.scenario, cell.policy, cell.seed),
-            (l.scenario, l.policy, l.seed)
-        );
-        assert_eq!(
-            b.energy_j.to_bits(),
+            m.energy_j.to_bits(),
             l.metrics.energy_j.to_bits(),
             "{}/{}/{} diverged between cached paths",
-            cell.scenario.name(),
-            cell.policy.name(),
-            cell.seed
+            scenario.name(),
+            policy.name(),
+            seed
         );
-        assert_eq!(b, &l.metrics);
+        assert_eq!(m, &l.metrics);
     }
 
-    // And the mirror image: a fresh cache filled by a cold *batched*
-    // pass must satisfy a warm looped `run_e1` without recomputing.
-    let dir2 = scratch_dir("batchcells2");
+    // Every cell as one lane of a single batch, with the evaluation
+    // stream derivation `eval_cell` uses: the same metrics, bit for bit.
+    let mut batch = soc::DeviceBatch::new(
+        cells
+            .iter()
+            .map(|_| soc::Soc::new(soc.clone()).expect("preset is valid"))
+            .collect(),
+    )
+    .expect("one preset shares one grid");
+    let mut lanes: Vec<experiments::BatchLane> = cells
+        .iter()
+        .map(|&(scenario, policy, seed)| experiments::BatchLane {
+            scenario: scenario.build(seed.wrapping_mul(0x9E37_79B9).wrapping_add(1)),
+            governor: policy.build_trained(&soc, scenario, e1.training, seed),
+            faults: None,
+        })
+        .collect();
+    let batched = experiments::run_batch(&mut batch, &mut lanes, run_config);
+    assert_eq!(
+        batched, single,
+        "a multi-lane batch computes the cached cells"
+    );
+
+    // And the mirror image: a fresh cache filled by cold single-cell
+    // requests must satisfy a warm sweep without recomputing.
+    let dir2 = scratch_dir("cells2");
     cache::configure(Some(dir2.clone()));
     cache::clear_memo();
     cache::reset_stats();
-    let cold_batched = experiments::eval_cells_batched(&soc, &cells, e1.training, run_config);
+    let cold_single = eval_all();
     assert!(cache::stats().misses > 0);
     cache::clear_memo();
     cache::reset_stats();
-    let warm_looped = run_e1(&soc, &e1);
+    let warm_swept = run_e1(&soc, &e1);
     let stats = cache::stats();
-    assert_eq!(
-        stats.misses, 0,
-        "batched entries must satisfy looped requests"
-    );
-    for (b, l) in cold_batched.iter().zip(&warm_looped.runs) {
-        let b = b.as_ref().expect("valid preset evaluates");
-        assert_eq!(b, &l.metrics);
+    assert_eq!(stats.misses, 0, "request entries must satisfy the sweep");
+    for (m, l) in cold_single.iter().zip(&warm_swept.runs) {
+        assert_eq!(m, &l.metrics);
     }
 
     cache::configure(None);

@@ -4,9 +4,10 @@
 //! The mapping is deliberately thin and mirrors the CLI paths:
 //!
 //! * `simulate` runs one evaluation cell through
-//!   [`experiments::eval_cells_batched`], so identical concurrent
-//!   requests coalesce in the content-addressed cache's memo layer and
-//!   repeat requests are answered from disk.
+//!   [`experiments::eval_cell`], so identical concurrent requests
+//!   coalesce in the content-addressed cache's memo layer (one computes,
+//!   the others wait for its bytes) and repeat requests are answered
+//!   from disk.
 //! * `train` calls [`experiments::train_rl_governor`] with the same
 //!   arguments `rlpm-sim train` passes, so the returned artifact
 //!   checksum matches a CLI-trained file byte for byte.
@@ -27,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use experiments::e1_energy_per_qos::{run_e1, E1Config};
 use experiments::{
-    eval_cells_batched, run_batch, train_rl_governor, BatchLane, EvalCell, PolicyKind, RunConfig,
-    RunMetrics, TrainingProtocol,
+    eval_cell, run_batch, train_rl_governor, BatchLane, PolicyKind, RunConfig, RunMetrics,
+    TrainingProtocol,
 };
 use governors::GovernorKind;
 use soc::{DeviceBatch, Soc, SocConfig};
@@ -273,18 +274,14 @@ fn simulate(spec: &SimulateSpec) -> Result<Value, RequestError> {
     let soc_cfg = resolve_soc(&spec.soc)?;
     let scenario = resolve_scenario(&spec.scenario)?;
     let policy = resolve_policy(&spec.policy)?;
-    let cell = EvalCell {
+    let Some(m) = eval_cell(
+        &soc_cfg,
         scenario,
         policy,
-        seed: spec.seed,
-    };
-    let metrics = eval_cells_batched(
-        &soc_cfg,
-        &[cell],
         TrainingProtocol::default(),
+        spec.seed,
         RunConfig::seconds(spec.secs),
-    );
-    let Some(Some(m)) = metrics.into_iter().next() else {
+    ) else {
         return Err(RequestError {
             code: ErrorCode::Internal,
             message: "simulation failed to run".into(),

@@ -67,7 +67,9 @@ struct LaneMeta {
 /// All lanes must share the same epoch and sub-step durations (the
 /// lockstep grid); cluster layouts, presets and per-lane state are free
 /// to differ. Lanes never interact — the batch exists purely to amortise
-/// per-sub-step and per-epoch overhead across devices.
+/// per-sub-step and per-epoch overhead across devices. Lanes park only
+/// in batches of two or more: a one-lane batch (every single-device run,
+/// see `experiments::run`) always takes [`Soc::run_epoch_into`].
 ///
 /// While a lane is parked (see the module docs), its `Soc`'s cluster
 /// state is stale — the live values sit in the batch's domain vector.
@@ -113,14 +115,19 @@ impl DeviceBatch {
                 }
             }
         }
+        Ok(Self::on_shared_grid(lanes))
+    }
+
+    /// Builds a batch over lanes already known to share the grid.
+    fn on_shared_grid(lanes: Vec<Soc>) -> Self {
         let n = lanes.len();
-        Ok(DeviceBatch {
+        DeviceBatch {
             lanes,
             domains: Vec::new(),
             order: Vec::new(),
             meta: (0..n).map(|_| LaneMeta::default()).collect(),
             errors: vec![None; n],
-        })
+        }
     }
 
     /// Number of lanes.
@@ -408,6 +415,10 @@ impl DeviceBatch {
         // arrivals; live lanes either park (all-idle epoch ahead) or run
         // the scalar path right here. The order change relative to looped
         // execution is immaterial — lanes never read each other's state.
+        // A lone lane has no one to share the kernel dispatch with, so it
+        // never parks: parking would only add park/unpark churn that the
+        // scalar path's own idle fast-forward avoids.
+        let may_park = n >= 2;
         for (i, ((request, report), &is_active)) in requests
             .iter()
             .zip(reports.iter_mut())
@@ -432,7 +443,7 @@ impl DeviceBatch {
             let Some(lane) = self.lanes.get_mut(i) else {
                 continue;
             };
-            if lane.idle_epoch_parkable() {
+            if may_park && lane.idle_epoch_parkable() {
                 match lane.apply_levels(request) {
                     Ok(()) => self.park(i),
                     Err(e) => {
@@ -481,6 +492,14 @@ impl DeviceBatch {
         }
         // xtask-hotpath: end
         Ok(())
+    }
+}
+
+impl From<Soc> for DeviceBatch {
+    /// A one-lane batch. A lone lane has no grid to disagree with, so
+    /// this cannot fail; it never parks (see [`DeviceBatch`]).
+    fn from(lane: Soc) -> Self {
+        Self::on_shared_grid(vec![lane])
     }
 }
 
@@ -607,34 +626,55 @@ mod tests {
 
     #[test]
     fn pure_idle_lane_parks_and_matches() {
-        let mut batch =
-            DeviceBatch::new(vec![lane(SocConfig::odroid_xu3_like().unwrap())]).unwrap();
-        let mut looped = lane(SocConfig::odroid_xu3_like().unwrap());
+        // Two lanes: a lone lane never parks.
+        let preset = SocConfig::odroid_xu3_like().unwrap();
+        let mut batch = DeviceBatch::new(vec![lane(preset.clone()), lane(preset.clone())]).unwrap();
+        let mut looped = lane(preset);
         let request = LevelRequest::min(looped.config());
         let mut report = looped.run_epoch(&request).unwrap();
         for _ in 0..99 {
             looped.run_epoch_into(&request, &mut report).unwrap();
         }
-        let mut reports = vec![empty_report()];
+        let requests = vec![request.clone(), request];
+        let mut reports = vec![empty_report(), empty_report()];
         for _ in 0..100 {
             batch
-                .run_epoch_into(&[true], std::slice::from_ref(&request), &mut reports)
+                .run_epoch_into(&[true, true], &requests, &mut reports)
                 .unwrap();
+            assert_eq!(batch.parked_lanes(), 2, "idle lanes take the kernel path");
         }
         // The per-epoch reports agree bit-for-bit even while parked.
         assert_eq!(reports[0], report);
+        assert_eq!(reports[1], report);
         batch.unpark_all();
         assert_lanes_identical(batch.lane(0), &looped);
+        assert_lanes_identical(batch.lane(1), &looped);
+    }
+
+    #[test]
+    fn lone_lane_never_parks() {
+        let preset = SocConfig::odroid_xu3_like().unwrap();
+        let mut batch = DeviceBatch::from(lane(preset.clone()));
+        let request = LevelRequest::min(&preset);
+        let mut reports = vec![empty_report()];
+        for _ in 0..10 {
+            batch
+                .run_epoch_into(&[true], std::slice::from_ref(&request), &mut reports)
+                .unwrap();
+            assert_eq!(batch.parked_lanes(), 0);
+        }
+        assert_eq!(batch.lane(0).epochs_run(), 10);
     }
 
     #[test]
     fn parked_observations_match_live_ones() {
         let preset = SocConfig::odroid_xu3_like().unwrap();
-        let mut batch = DeviceBatch::new(vec![lane(preset.clone())]).unwrap();
+        let mut batch = DeviceBatch::new(vec![lane(preset.clone()), lane(preset.clone())]).unwrap();
         let mut looped = lane(preset);
         let request = LevelRequest::min(looped.config());
+        let requests = vec![request.clone(), request.clone()];
         let mut looped_report = empty_report();
-        let mut reports = vec![empty_report()];
+        let mut reports = vec![empty_report(), empty_report()];
         let mut batched_obs = EpochObservation {
             at: SimTime::ZERO,
             clusters: Vec::new(),
@@ -645,10 +685,17 @@ mod tests {
             looped.run_epoch_into(&request, &mut looped_report).unwrap();
             looped.observe_into(&looped_report, &mut looped_obs);
             batch
-                .run_epoch_into(&[true], std::slice::from_ref(&request), &mut reports)
+                .run_epoch_into(&[true, true], &requests, &mut reports)
                 .unwrap();
-            batch.observe_lane_into(0, &reports[0], &mut batched_obs);
-            assert_eq!(batched_obs, looped_obs);
+            assert!(
+                batch.parked_lanes() > 0,
+                "observation synthesised from domains"
+            );
+            for (i, report) in reports.iter().enumerate() {
+                assert!(batch.lane_parked(i));
+                batch.observe_lane_into(i, report, &mut batched_obs);
+                assert_eq!(batched_obs, looped_obs);
+            }
         }
     }
 
@@ -656,11 +703,13 @@ mod tests {
     fn unparking_mid_run_preserves_identity() {
         // Park for a while, then force an unpark via a level change, then
         // a job burst, then re-park — state must track looped throughout.
+        // Lane 1 stays idle as the parked neighbour a lone lane would lack.
         let preset = SocConfig::odroid_xu3_like().unwrap();
-        let mut batch = DeviceBatch::new(vec![lane(preset.clone())]).unwrap();
+        let mut batch = DeviceBatch::new(vec![lane(preset.clone()), lane(preset.clone())]).unwrap();
         let mut looped = lane(preset);
         let mut looped_report = empty_report();
-        let mut reports = vec![empty_report()];
+        let mut reports = vec![empty_report(), empty_report()];
+        let mut parked_epochs = 0;
         for e in 0..60u64 {
             let level = if (20..24).contains(&e) { 3 } else { 0 };
             let request = LevelRequest::new(vec![level, level]);
@@ -676,11 +725,23 @@ mod tests {
                 batch.schedule_job(0, at, job);
             }
             looped.run_epoch_into(&request, &mut looped_report).unwrap();
+            let requests = vec![request, LevelRequest::new(vec![0, 0])];
             batch
-                .run_epoch_into(&[true], std::slice::from_ref(&request), &mut reports)
+                .run_epoch_into(&[true, true], &requests, &mut reports)
                 .unwrap();
+            assert!(
+                batch.parked_lanes() > 0,
+                "epoch {e}: the idle neighbour parks"
+            );
+            if batch.lane_parked(0) {
+                parked_epochs += 1;
+            }
             assert_eq!(reports[0], looped_report, "epoch {e} diverged");
         }
+        assert!(
+            parked_epochs > 0 && parked_epochs < 60,
+            "lane 0 parked in {parked_epochs} of 60 epochs"
+        );
         batch.unpark_all();
         assert_lanes_identical(batch.lane(0), &looped);
     }
